@@ -203,8 +203,8 @@ func BenchmarkQueryPrivacyOverhead(b *testing.B) {
 // Paper claim (Sec. 4): indexes must serve "different user views";
 // one classified index should beat re-checking policies per query.
 
-func synthRepoFixture(b *testing.B, nSpecs int) ([]*workflow.Spec, map[string]*privacy.Policy) {
-	b.Helper()
+func synthRepoFixture(tb testing.TB, nSpecs int) ([]*workflow.Spec, map[string]*privacy.Policy) {
+	tb.Helper()
 	var specs []*workflow.Spec
 	pols := make(map[string]*privacy.Policy)
 	for i := 0; i < nSpecs; i++ {
@@ -212,7 +212,7 @@ func synthRepoFixture(b *testing.B, nSpecs int) ([]*workflow.Spec, map[string]*p
 			Seed: int64(i), ID: fmt.Sprintf("s%d", i), Depth: 3, Fanout: 2, Chain: 4, SkipProb: 0.2,
 		})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		pol := privacy.NewPolicy(s.ID)
 		// Mark every third module Analyst-only.
@@ -471,13 +471,13 @@ func BenchmarkRepositorySearch(b *testing.B) {
 // parallel variants use all cores. On a 4+ core machine
 // parallel-clients should show ≥2x the serial throughput (ns/op ≤ 1/2).
 
-func parallelSearchFixture(b *testing.B, nSpecs int) (*repo.Repository, []string) {
-	b.Helper()
+func parallelSearchFixture(tb testing.TB, nSpecs int) (*repo.Repository, []string) {
+	tb.Helper()
 	r := repo.New()
-	specs, pols := synthRepoFixture(b, nSpecs)
+	specs, pols := synthRepoFixture(tb, nSpecs)
 	for _, s := range specs {
 		if err := r.AddSpec(s, pols[s.ID]); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	r.AddUser(privacy.User{Name: "u", Level: privacy.Registered, Group: "g"})
@@ -521,6 +521,31 @@ func BenchmarkSearchParallel(b *testing.B) {
 			}
 		})
 	})
+}
+
+// searchAllocCeiling bounds the allocations of one uncached search over
+// the BenchmarkSearchParallel data: the measured 393 allocs/op plus
+// 15%. Each shard's search table is built once; rebuilding it per
+// request (hierarchy, chains, module tokenization) measured 1,122
+// allocs/op and fails this deterministically.
+const searchAllocCeiling = 452
+
+// TestSearchAllocBudget pins the serial uncached search path to
+// searchAllocCeiling allocations per query, averaged over the fixture's
+// query stream.
+func TestSearchAllocBudget(t *testing.T) {
+	r, queries := parallelSearchFixture(t, 12)
+	r.SetWorkers(1) // inline fan-out: no goroutine allocations
+	perRun := testing.AllocsPerRun(5, func() {
+		for _, q := range queries {
+			if _, err := r.Search("u", q, repo.SearchOptions{BypassCache: true}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if got := perRun / float64(len(queries)); got > searchAllocCeiling {
+		t.Fatalf("uncached search: %.1f allocs/op, ceiling %d", got, searchAllocCeiling)
+	}
 }
 
 // BenchmarkQueryAllParallel measures the engine-internal fan-out: one

@@ -180,8 +180,8 @@ func TestStoreRefusesRemovingLastToken(t *testing.T) {
 
 // TestStoreConcurrentRotation (-race): authentication stays correct
 // while the set is swapped underneath it — the unchanged token never
-// spuriously fails, the rotating token only flips between its old and
-// new secret.
+// spuriously fails, and each published generation accepts exactly one
+// of the rotating token's two secrets.
 func TestStoreConcurrentRotation(t *testing.T) {
 	s, path := newTestFileStore(t)
 	stop := make(chan struct{})
@@ -219,10 +219,15 @@ func TestStoreConcurrentRotation(t *testing.T) {
 					t.Error("unchanged token failed during rotation")
 					return
 				}
-				_, okOld := s.Authenticate("s-admin")
-				_, okAlt := s.Authenticate("s-admin-alt")
-				if okOld && okAlt {
-					t.Error("both admin secrets valid at once")
+				// Two separate Authenticate calls may straddle a rotation
+				// and legitimately see one secret each, so the invariant
+				// is checked on one snapshot: every generation accepts
+				// exactly one of the two admin secrets.
+				a := s.Current()
+				_, okOld := a.Authenticate("s-admin")
+				_, okAlt := a.Authenticate("s-admin-alt")
+				if okOld == okAlt {
+					t.Errorf("one token-set generation: s-admin=%v s-admin-alt=%v, want exactly one", okOld, okAlt)
 					return
 				}
 			}

@@ -10,6 +10,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,8 +62,7 @@ func buildSegment(s *workflow.Spec, pol *privacy.Policy) *segment {
 				minLevel = pol.ModuleLevels[m.ID]
 			}
 			seen := make(map[string]bool)
-			for _, kw := range m.AllKeywords() {
-				term := search.Normalize(kw)
+			for _, term := range search.ModuleTerms(m) {
 				if seen[term] {
 					continue // distinct raw keywords may normalize alike
 				}
@@ -305,15 +305,12 @@ func NaiveLookup(specs []*workflow.Spec, policies map[string]*privacy.Policy, te
 				if pol != nil && !pol.CanSeeModule(level, m.ID) {
 					continue
 				}
-				for _, kw := range m.AllKeywords() {
-					if search.Normalize(kw) == want {
-						minLevel := privacy.Public
-						if pol != nil {
-							minLevel = pol.ModuleLevels[m.ID]
-						}
-						out = append(out, Posting{SpecID: s.ID, ModuleID: m.ID, Workflow: wid, MinLevel: minLevel})
-						break
+				if slices.Contains(search.ModuleTerms(m), want) {
+					minLevel := privacy.Public
+					if pol != nil {
+						minLevel = pol.ModuleLevels[m.ID]
 					}
+					out = append(out, Posting{SpecID: s.ID, ModuleID: m.ID, Workflow: wid, MinLevel: minLevel})
 				}
 			}
 		}

@@ -24,6 +24,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -135,12 +136,9 @@ func (ev *Evaluator) matchingNodes(e *exec.Execution, phrase []string, pol *priv
 }
 
 func phraseMatchesModule(m *workflow.Module, phrase []string) bool {
-	terms := make(map[string]bool)
-	for _, k := range m.AllKeywords() {
-		terms[search.Normalize(k)] = true
-	}
+	terms := search.ModuleTerms(m)
 	for _, p := range phrase {
-		if !terms[p] {
+		if !slices.Contains(terms, p) {
 			return false
 		}
 	}

@@ -7,7 +7,6 @@ import (
 
 	"provpriv/internal/graph"
 	"provpriv/internal/privacy"
-	"provpriv/internal/search"
 	"provpriv/internal/workflow"
 )
 
@@ -168,16 +167,7 @@ func specPhraseMatches(m *workflow.Module, phrase []string) bool {
 	if len(phrase) == 1 && len(phrase[0]) > 3 && phrase[0][:3] == "id:" {
 		return equalFold(m.ID, phrase[0][3:])
 	}
-	terms := make(map[string]bool)
-	for _, k := range m.AllKeywords() {
-		terms[search.Normalize(k)] = true
-	}
-	for _, p := range phrase {
-		if !terms[p] {
-			return false
-		}
-	}
-	return true
+	return phraseMatchesModule(m, phrase)
 }
 
 func equalFold(a, b string) bool {

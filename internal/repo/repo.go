@@ -78,14 +78,19 @@ var (
 )
 
 // shard is the unit of isolation: everything the repository knows about
-// one specification, behind one lock. Spec, hierarchy and policy are
-// immutable once published; executions are append-only.
+// one specification, behind one lock. Spec, hierarchy, search table and
+// policy are immutable once published; executions are append-only.
 type shard struct {
 	mu     sync.RWMutex
 	spec   *workflow.Spec
 	hier   *workflow.Hierarchy
 	policy *privacy.Policy
 	execs  map[string]*exec.Execution
+
+	// table holds the spec's module terms, postings and hierarchy
+	// chains for keyword search, built with the shard. It does not
+	// depend on the policy, so UpdatePolicy keeps it.
+	table *search.Table
 
 	// viewStore, when non-nil, holds pre-collapsed, pre-masked views of
 	// executions at the materialized levels (Section 4's materialized-
@@ -465,6 +470,7 @@ func (r *Repository) newShard(s *workflow.Spec, pol *privacy.Policy) (*shard, *p
 		hier:   h,
 		policy: pol,
 		execs:  make(map[string]*exec.Execution),
+		table:  search.NewTable(s, h),
 		views:  index.NewLRU[viewCacheKey, *exec.Execution](viewCacheCap, viewCacheTTL),
 		taints: index.NewLRU[taintCacheKey, *taint.Set](viewCacheCap, viewCacheTTL),
 		masked: index.NewLRU[maskedCacheKey, maskedSnapshot](viewCacheCap, viewCacheTTL),
@@ -530,9 +536,7 @@ func visibleSpecTerms(s *workflow.Spec, pol *privacy.Policy, level privacy.Level
 			if pol != nil && !pol.CanSeeModule(level, m.ID) {
 				continue
 			}
-			for _, kw := range m.AllKeywords() {
-				terms = append(terms, search.Normalize(kw))
-			}
+			terms = append(terms, search.ModuleTerms(m)...)
 		}
 	}
 	return terms
@@ -1013,7 +1017,7 @@ type SearchOptions struct {
 	BypassCache bool
 	// Limit/Offset window the ranked result list engine-side: only the
 	// specs inside [Offset, Offset+Limit) get their minimal view built;
-	// the rest are counted with the cheap search.Matches predicate.
+	// the rest are counted with the cheap Table.Matches predicate.
 	// Limit 0 means unlimited (full materialization).
 	Limit, Offset int
 }
@@ -1043,8 +1047,8 @@ type pagedHits struct {
 // engine. The ranked order of the full result list is known before any
 // view is built (corpus scores are per spec, ties break on spec id), so
 // the engine sorts the candidates first, counts the matching ones with
-// search.Matches — a per-module keyword scan, no hierarchy walk, no
-// view expansion — and runs the expensive minimal-view search only for
+// the shard's search.Table — a posting-list walk, no hierarchy walk,
+// no view expansion — and runs the expensive minimal-view search only for
 // the candidates inside [Offset, Offset+Limit). A deep repository
 // therefore pays per page, not per hit; total is still exact
 // (TestMatchesAgreesWithSearch pins predicate/search equivalence, and
@@ -1135,9 +1139,9 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 			return
 		}
 		sh.mu.RLock()
-		s, pol := sh.spec, sh.policy
+		tab, pol := sh.table, sh.policy
 		sh.mu.RUnlock()
-		matched[i] = search.Matches(s, phrases, pol, u.Level)
+		matched[i] = tab.Matches(phrases, pol, u.Level)
 	})
 	matchSpan.End()
 	if err := ctx.Err(); err != nil {
@@ -1173,10 +1177,10 @@ func (r *Repository) SearchPageCtx(ctx context.Context, userName, queryText stri
 			return // removed since the predicate pass
 		}
 		sh.mu.RLock()
-		s, pol, hier := sh.spec, sh.policy, sh.hier
+		tab, pol, hier := sh.table, sh.policy, sh.hier
 		sh.mu.RUnlock()
 		access := pol.AccessView(hier, u.Level)
-		res, err := search.SearchWithAccess(s, phrases, access, pol, u.Level)
+		res, err := tab.SearchWithAccess(phrases, access, pol, u.Level)
 		if err != nil {
 			return // predicate raced a mutation; drop the hit
 		}
@@ -1355,7 +1359,7 @@ func (r *Repository) Reaches(userName, specID, from, to string) (bool, error) {
 			return r.reach.Reaches(specID, from, to), nil
 		}
 	}
-	v, err := workflow.Expand(s, access)
+	v, err := workflow.ExpandWith(s, h, access)
 	if err != nil {
 		return false, err
 	}
@@ -1387,14 +1391,7 @@ func visibleRepr(s *workflow.Spec, h *workflow.Hierarchy, v *workflow.View, modu
 	}
 	// Walk the workflow chain root..w; the first workflow outside the
 	// access view is represented by its via-module.
-	var chain []string
-	for cur := w.ID; cur != ""; cur = h.Parent(cur) {
-		chain = append([]string{cur}, chain...)
-		if cur == h.Root {
-			break
-		}
-	}
-	for _, wid := range chain {
+	for _, wid := range h.Chain(w.ID) {
 		if !access.Contains(wid) {
 			return h.ViaModule(wid), nil
 		}
@@ -1438,7 +1435,7 @@ func (r *Repository) QuerySpec(userName, specID, queryText string) (*query.SpecA
 	}
 	pol := sh.policySnapshot()
 	access := pol.AccessView(sh.hier, u.Level)
-	v, err := workflow.Expand(sh.spec, access)
+	v, err := workflow.ExpandWith(sh.spec, sh.hier, access)
 	if err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@ package search
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -87,145 +88,250 @@ type Result struct {
 	ZoomedOut bool // the ideal view was clipped by the user's access view
 }
 
-// moduleTerms returns the normalized searchable terms of a module.
-func moduleTerms(m *workflow.Module) map[string]bool {
-	set := make(map[string]bool)
-	for _, k := range m.AllKeywords() {
-		set[Normalize(k)] = true
+// ModuleTerms returns a module's normalized search terms: Normalize
+// applied to each of Module.AllKeywords, in that order. Distinct
+// keywords may normalize alike ("risks", "risk"), so a term can repeat;
+// the repetition is kept because ranking counts term frequency.
+func ModuleTerms(m *workflow.Module) []string {
+	terms := m.AllKeywords()
+	for i, k := range terms {
+		terms[i] = Normalize(k)
 	}
-	return set
+	return terms
 }
 
-func phraseMatches(m *workflow.Module, phrase []string) bool {
-	terms := moduleTerms(m)
-	for _, p := range phrase {
-		if !terms[p] {
+// Table is the policy-independent search state of one spec, built once
+// and read by any number of concurrent queries: every module's terms, a
+// posting list per term, the expansion hierarchy and each workflow's
+// root→workflow chain. Visibility is still decided per query by the
+// policy passed in, so a policy change needs no new table. A Table is
+// immutable once built.
+type Table struct {
+	spec *workflow.Spec
+	hier *workflow.Hierarchy
+	// mods lists the spec's modules in scan order (sorted workflow ids,
+	// then module order); positions into it are module handles.
+	mods []tableModule
+	// postings maps a term to the ascending positions of the modules
+	// carrying it; all holds every position. A one-shot table has no
+	// postings: it scans all and tokenizes modules as it reaches them.
+	postings map[string][]int32
+	all      []int32
+}
+
+type tableModule struct {
+	module   *workflow.Module
+	workflow string
+	terms    []string
+	chain    *chain // shared by every module of the workflow
+}
+
+// chain is a workflow's path from the root, with the "/"-joined key
+// that breaks ties between equally deep requirements.
+type chain struct {
+	wids []string
+	key  string
+}
+
+// NewTable builds the search table of a validated spec whose expansion
+// hierarchy is h.
+func NewTable(spec *workflow.Spec, h *workflow.Hierarchy) *Table {
+	return newTable(spec, h, true)
+}
+
+// newTable builds a table. Without indexed it builds a one-shot table
+// for a single call: no postings, terms filled in on first use, so a
+// query that stops early tokenizes only the modules it reached; such a
+// table must not be shared. With a nil h it skips the chains and serves
+// Matches only.
+func newTable(spec *workflow.Spec, h *workflow.Hierarchy, indexed bool) *Table {
+	wids := spec.WorkflowIDs()
+	n := 0
+	for _, wid := range wids {
+		n += len(spec.Workflows[wid].Modules)
+	}
+	t := &Table{
+		spec: spec,
+		hier: h,
+		mods: make([]tableModule, 0, n),
+		all:  make([]int32, n),
+	}
+	if indexed {
+		t.postings = make(map[string][]int32)
+	}
+	for _, wid := range wids {
+		var c *chain
+		if h != nil {
+			ids := h.Chain(wid)
+			c = &chain{wids: ids, key: strings.Join(ids, "/")}
+		}
+		for _, m := range spec.Workflows[wid].Modules {
+			i := int32(len(t.mods))
+			tm := tableModule{module: m, workflow: wid, chain: c}
+			if indexed {
+				tm.terms = ModuleTerms(m)
+				for _, term := range tm.terms {
+					ps := t.postings[term]
+					if len(ps) > 0 && ps[len(ps)-1] == i {
+						continue // a repeated term posts the module once
+					}
+					t.postings[term] = append(ps, i)
+				}
+			}
+			t.mods = append(t.mods, tm)
+			t.all[i] = i
+		}
+	}
+	return t
+}
+
+// oneShot builds the table behind the spec-taking wrappers.
+func oneShot(spec *workflow.Spec) (*Table, error) {
+	h, err := workflow.NewHierarchy(spec)
+	if err != nil {
+		return nil, err
+	}
+	return newTable(spec, h, false), nil
+}
+
+// candidates returns the positions that can match phrase, in scan
+// order, and the terms still to check on each: on an indexed table the
+// posting list of the first term guarantees that term.
+func (t *Table) candidates(phrase []string) ([]int32, []string) {
+	if t.postings == nil || len(phrase) == 0 {
+		return t.all, phrase // an empty phrase matches any visible module
+	}
+	return t.postings[phrase[0]], phrase[1:]
+}
+
+// matchesAt reports whether module i is visible at level and carries
+// every term of rest.
+func (t *Table) matchesAt(i int32, rest []string, pol *privacy.Policy, level privacy.Level) bool {
+	m := &t.mods[i]
+	if pol != nil && !pol.CanSeeModule(level, m.module.ID) {
+		return false // module privacy: identity not searchable
+	}
+	if len(rest) == 0 {
+		return true
+	}
+	if m.terms == nil && t.postings == nil {
+		m.terms = ModuleTerms(m.module) // one-shot table: tokenize on first use
+	}
+	for _, term := range rest {
+		if !slices.Contains(m.terms, term) {
 			return false
 		}
 	}
 	return true
-}
-
-// rawMatch is a phrase match before supersession/minimality.
-type rawMatch struct {
-	module   *workflow.Module
-	workflow string
 }
 
 // Search evaluates a keyword query (see ParseQuery) against a spec with
 // no privacy constraints and returns the minimal view containing all
 // matches. It returns an error when some phrase matches nothing.
 func Search(spec *workflow.Spec, query [][]string) (*Result, error) {
-	return searchInternal(spec, query, nil, nil, 0)
+	t, err := oneShot(spec)
+	if err != nil {
+		return nil, err
+	}
+	return t.search(query, nil, nil, 0)
+}
+
+// Matches is Table.Matches on a table built for this call.
+func Matches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) bool {
+	return newTable(spec, nil, false).Matches(query, pol, level)
 }
 
 // Matches reports whether SearchWithAccess would succeed for the query —
 // i.e. every phrase matches at least one module visible under module
-// privacy — without building the hierarchy, the minimal prefix or the
-// answer view. This is the pagination predicate: windowed repository
-// search uses it to count the full result set while materializing views
-// only for the requested page.
+// privacy — without building the minimal prefix or the answer view.
+// This is the pagination predicate: windowed repository search uses it
+// to count the full result set while materializing views only for the
+// requested page.
 //
-// Equivalence with searchInternal: beyond the per-phrase visible-match
-// requirement tested here, searchInternal can only fail on structurally
-// invalid specs (hierarchy/expand errors, impossible for specs the
-// repository validated on registration); its "all matches suppressed"
-// guard is unreachable when every phrase has a visible match, because a
-// match is dropped from the report only when its whole workflow chain
-// is in the prefix yet the module is absent from the view — a
-// contradiction for expanded prefixes. TestMatchesAgreesWithSearch
-// pins the equivalence property-style.
-func Matches(spec *workflow.Spec, query [][]string, pol *privacy.Policy, level privacy.Level) bool {
+// Equivalence with SearchWithAccess: beyond the per-phrase
+// visible-match requirement tested here, the search can only fail on
+// structurally invalid specs (hierarchy/expand errors, impossible for
+// specs the repository validated on registration); its "all matches
+// suppressed" guard is unreachable when every phrase has a visible
+// match, because a match is dropped from the report only when its whole
+// workflow chain is in the prefix yet the module is absent from the
+// view — a contradiction for expanded prefixes.
+// TestMatchesAgreesWithSearch pins the equivalence property-style.
+func (t *Table) Matches(query [][]string, pol *privacy.Policy, level privacy.Level) bool {
 	if len(query) == 0 {
 		return false
 	}
+next:
 	for _, phrase := range query {
-		found := false
-		for _, wid := range spec.WorkflowIDs() {
-			for _, m := range spec.Workflows[wid].Modules {
-				if pol != nil && !pol.CanSeeModule(level, m.ID) {
-					continue
-				}
-				if phraseMatches(m, phrase) {
-					found = true
-					break
-				}
-			}
-			if found {
-				break
+		ids, rest := t.candidates(phrase)
+		for _, i := range ids {
+			if t.matchesAt(i, rest, pol, level) {
+				continue next
 			}
 		}
-		if !found {
-			return false
-		}
+		return false
 	}
 	return true
+}
+
+// SearchWithAccess is Table.SearchWithAccess on a table built for this
+// call.
+func SearchWithAccess(spec *workflow.Spec, query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+	t, err := oneShot(spec)
+	if err != nil {
+		return nil, err
+	}
+	return t.SearchWithAccess(query, accessView, pol, level)
 }
 
 // SearchWithAccess evaluates the query under an access view and a
 // policy: the answer view never exceeds accessView, matches on modules
 // hidden by module privacy are discarded, and matches inside workflows
 // beyond the access view zoom out to their deepest visible ancestor.
-func SearchWithAccess(spec *workflow.Spec, query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+func (t *Table) SearchWithAccess(query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
 	if accessView == nil {
 		return nil, fmt.Errorf("search: nil access view")
 	}
-	return searchInternal(spec, query, accessView, pol, level)
+	return t.search(query, accessView, pol, level)
 }
 
-func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
+func (t *Table) search(query [][]string, accessView workflow.Prefix, pol *privacy.Policy, level privacy.Level) (*Result, error) {
 	if len(query) == 0 {
 		return nil, fmt.Errorf("search: empty query")
 	}
-	h, err := workflow.NewHierarchy(spec)
-	if err != nil {
-		return nil, err
-	}
 
-	// Collect raw matches per phrase.
-	type phraseState struct {
-		phrase  []string
-		matches []rawMatch
-	}
-	states := make([]*phraseState, 0, len(query))
-	for _, phrase := range query {
-		ps := &phraseState{phrase: phrase}
-		for _, wid := range spec.WorkflowIDs() {
-			for _, m := range spec.Workflows[wid].Modules {
-				if pol != nil && !pol.CanSeeModule(level, m.ID) {
-					continue // module privacy: identity not searchable
-				}
-				if phraseMatches(m, phrase) {
-					ps.matches = append(ps.matches, rawMatch{module: m, workflow: wid})
-				}
+	// Collect raw matches (table positions) per phrase.
+	matches := make([][]int32, len(query))
+	for p, phrase := range query {
+		ids, rest := t.candidates(phrase)
+		for _, i := range ids {
+			if t.matchesAt(i, rest, pol, level) {
+				matches[p] = append(matches[p], i)
 			}
 		}
-		if len(ps.matches) == 0 {
+		if len(matches[p]) == 0 {
 			return nil, fmt.Errorf("search: no match for phrase %q", strings.Join(phrase, " "))
 		}
-		states = append(states, ps)
 	}
 
 	// Supersession: drop a match on a composite module when the phrase
 	// also matches inside its expansion subtree (the finer match is the
 	// answer; the composite merely summarizes it).
-	for _, ps := range states {
-		ps.matches = dropSuperseded(h, ps.matches)
+	for p := range matches {
+		matches[p] = t.dropSuperseded(matches[p])
 	}
 
 	// Minimal prefix: per phrase, the cheapest requirement (fewest
 	// workflows added, ties broken lexicographically); union across
 	// phrases, clipped to the access view with zoom-out.
-	prefix := workflow.NewPrefix(h.Root)
+	prefix := workflow.NewPrefix(t.hier.Root)
 	zoomed := false
-	for _, ps := range states {
-		req, clipped := cheapestRequirement(h, ps.matches, accessView)
-		zoomed = zoomed || clipped
-		for wid := range req {
-			prefix[wid] = true
+	for _, ms := range matches {
+		if t.cheapestRequirement(prefix, ms, accessView) {
+			zoomed = true
 		}
 	}
-	view, err := workflow.Expand(spec, prefix)
+	view, err := workflow.ExpandWith(t.spec, t.hier, prefix)
 	if err != nil {
 		return nil, err
 	}
@@ -238,12 +344,13 @@ func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.P
 	// alias two distinct matches into one (provlint cachekey).
 	type matchKey struct{ phrase, module, zoomedTo string }
 	seen := make(map[matchKey]bool)
-	for _, ps := range states {
-		name := strings.Join(ps.phrase, " ")
-		for _, rm := range ps.matches {
-			match := Match{Phrase: name, ModuleID: rm.module.ID, Workflow: rm.workflow}
-			if view.Module(rm.module.ID) == nil {
-				anc := visibleAncestor(h, rm.workflow, prefix)
+	for p, ms := range matches {
+		name := strings.Join(query[p], " ")
+		for _, i := range ms {
+			tm := &t.mods[i]
+			match := Match{Phrase: name, ModuleID: tm.module.ID, Workflow: tm.workflow}
+			if view.Module(tm.module.ID) == nil {
+				anc := t.visibleAncestor(tm.chain, prefix)
 				if anc == "" {
 					continue
 				}
@@ -270,99 +377,67 @@ func searchInternal(spec *workflow.Spec, query [][]string, accessView workflow.P
 
 // dropSuperseded removes matches on composite modules whose subtree
 // contains another match for the same phrase.
-func dropSuperseded(h *workflow.Hierarchy, matches []rawMatch) []rawMatch {
-	// Workflows containing a match.
-	matchWf := make(map[string]bool, len(matches))
-	for _, rm := range matches {
-		matchWf[rm.workflow] = true
+func (t *Table) dropSuperseded(ms []int32) []int32 {
+	// Chains of the workflows containing a match: matches cluster in a
+	// few workflows, so a slice beats a set.
+	var chains []*chain
+	for _, i := range ms {
+		if c := t.mods[i].chain; !slices.Contains(chains, c) {
+			chains = append(chains, c)
+		}
 	}
-	inSubtree := func(root, wid string) bool {
-		for cur := wid; cur != ""; cur = h.Parent(cur) {
-			if cur == root {
+	superseded := func(tm *tableModule) bool {
+		for _, c := range chains {
+			w := c.wids[len(c.wids)-1]
+			if w == tm.module.Sub || (w != tm.workflow && slices.Contains(c.wids, tm.module.Sub)) {
 				return true
-			}
-			if cur == h.Root {
-				break
 			}
 		}
 		return false
 	}
-	var out []rawMatch
-	for _, rm := range matches {
-		if rm.module.Kind == workflow.Composite {
-			superseded := false
-			for w := range matchWf {
-				if w != rm.workflow && inSubtree(rm.module.Sub, w) {
-					superseded = true
-					break
-				}
-				if w == rm.module.Sub {
-					superseded = true
-					break
-				}
-			}
-			if superseded {
-				continue
-			}
+	var out []int32
+	for _, i := range ms {
+		if tm := &t.mods[i]; tm.module.Kind == workflow.Composite && superseded(tm) {
+			continue
 		}
-		out = append(out, rm)
+		out = append(out, i)
 	}
 	if len(out) == 0 {
-		return matches // defensive: never drop everything
+		return ms // defensive: never drop everything
 	}
 	return out
 }
 
-// cheapestRequirement returns the smallest prefix extension making some
-// match of the phrase visible. When an access view is supplied and the
-// cheapest requirement exceeds it, the requirement is clipped (zoom-out)
-// and clipped=true is returned.
-func cheapestRequirement(h *workflow.Hierarchy, matches []rawMatch, accessView workflow.Prefix) (req map[string]bool, clipped bool) {
-	type cand struct {
-		chain []string // workflows root..containing
-		key   string
-	}
-	var best *cand
-	for _, rm := range matches {
-		var chain []string
-		for cur := rm.workflow; cur != ""; cur = h.Parent(cur) {
-			chain = append([]string{cur}, chain...)
-			if cur == h.Root {
-				break
-			}
-		}
-		c := &cand{chain: chain, key: strings.Join(chain, "/")}
-		if best == nil || len(c.chain) < len(best.chain) ||
-			(len(c.chain) == len(best.chain) && c.key < best.key) {
+// cheapestRequirement adds to prefix the smallest extension making
+// some match of the phrase visible: the shortest chain, ties broken by
+// chain key. When an access view is supplied and that chain leaves it,
+// the requirement is clipped (zoom-out) and clipped is true.
+func (t *Table) cheapestRequirement(prefix workflow.Prefix, ms []int32, accessView workflow.Prefix) (clipped bool) {
+	var best *chain
+	for _, i := range ms {
+		c := t.mods[i].chain
+		if best == nil || len(c.wids) < len(best.wids) ||
+			(len(c.wids) == len(best.wids) && c.key < best.key) {
 			best = c
 		}
 	}
-	req = make(map[string]bool, len(best.chain))
-	for _, wid := range best.chain {
+	for _, wid := range best.wids {
 		if accessView != nil && !accessView.Contains(wid) {
-			clipped = true
-			break // prefix-closed: once outside, everything deeper is too
+			return true // prefix-closed: once outside, everything deeper is too
 		}
-		req[wid] = true
+		prefix[wid] = true
 	}
-	return req, clipped
+	return false
 }
 
-// visibleAncestor returns the composite module that represents workflow
-// wid in the view of the given prefix: the via-module of the shallowest
-// ancestor workflow not in the prefix ("" if wid is visible).
-func visibleAncestor(h *workflow.Hierarchy, wid string, prefix workflow.Prefix) string {
-	// Build chain root..wid.
-	var chain []string
-	for cur := wid; cur != ""; cur = h.Parent(cur) {
-		chain = append([]string{cur}, chain...)
-		if cur == h.Root {
-			break
-		}
-	}
-	for _, w := range chain {
+// visibleAncestor returns the composite module that represents the
+// workflow at the end of c in the view of the given prefix: the
+// via-module of the shallowest chain workflow not in the prefix (""
+// if the whole chain is visible).
+func (t *Table) visibleAncestor(c *chain, prefix workflow.Prefix) string {
+	for _, w := range c.wids {
 		if !prefix.Contains(w) {
-			return h.ViaModule(w)
+			return t.hier.ViaModule(w)
 		}
 	}
 	return ""

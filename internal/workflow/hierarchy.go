@@ -56,6 +56,24 @@ func (h *Hierarchy) Children(wid string) []string { return h.children[wid] }
 // ViaModule returns the composite module whose expansion introduces wid.
 func (h *Hierarchy) ViaModule(wid string) string { return h.viaModule[wid] }
 
+// Chain returns the workflows on the path from the root down to wid,
+// root first and wid last ([wid] alone when wid has no parent).
+func (h *Hierarchy) Chain(wid string) []string {
+	n := 0
+	for cur := wid; cur != ""; cur = h.parent[cur] {
+		n++
+		if cur == h.Root || n > len(h.parent) {
+			break // the bound stops a cycle in an unvalidated spec
+		}
+	}
+	out := make([]string, n)
+	for cur := wid; n > 0; cur = h.parent[cur] {
+		n--
+		out[n] = cur
+	}
+	return out
+}
+
 // Depth returns the number of edges from the root to wid (root = 0),
 // or -1 if wid is not in the hierarchy.
 func (h *Hierarchy) Depth(wid string) int {

@@ -41,6 +41,12 @@ func Expand(s *Spec, prefix Prefix) (*View, error) {
 	if err != nil {
 		return nil, err
 	}
+	return ExpandWith(s, h, prefix)
+}
+
+// ExpandWith is Expand for callers that already hold s's hierarchy h,
+// so a view costs no hierarchy rebuild.
+func ExpandWith(s *Spec, h *Hierarchy, prefix Prefix) (*View, error) {
 	if err := prefix.Validate(h); err != nil {
 		return nil, err
 	}
